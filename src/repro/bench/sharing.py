@@ -25,17 +25,8 @@ from repro.bench.report import percentile
 from repro.bench.targets import build_target
 from repro.common.errors import FileNotFoundErrorFS, FileSystemError
 from repro.common.types import Permission
-from repro.common.units import KB, MB
 from repro.crypto.hashing import content_digest
 from repro.simenv.environment import Simulation
-
-#: The file sizes of Figure 9.
-DEFAULT_SIZES: tuple[int, ...] = (256 * KB, 1 * MB, 4 * MB, 16 * MB)
-
-#: The systems compared in Figure 9.
-SHARING_SYSTEMS: tuple[str, ...] = ("SCFS-CoC-B", "SCFS-CoC-NB", "SCFS-AWS-B", "SCFS-AWS-NB",
-                                    "Dropbox")
-
 
 @dataclass
 class SharingResult:
@@ -126,18 +117,3 @@ def run_dropbox_sharing(file_size: int, trials: int = 9, seed: int = 0,
         system="Dropbox", file_size=file_size,
         p50=percentile(samples, 50), p90=percentile(samples, 90), samples=samples,
     )
-
-
-def run_sharing_matrix(sizes: tuple[int, ...] = DEFAULT_SIZES, trials: int = 9,
-                       seed: int = 0) -> dict[str, dict[int, SharingResult]]:
-    """Regenerate all of Figure 9: ``{system: {file_size: SharingResult}}``."""
-    results: dict[str, dict[int, SharingResult]] = {}
-    for system in SHARING_SYSTEMS:
-        per_size: dict[int, SharingResult] = {}
-        for size in sizes:
-            if system == "Dropbox":
-                per_size[size] = run_dropbox_sharing(size, trials=trials, seed=seed)
-            else:
-                per_size[size] = run_sharing_benchmark(system, size, trials=trials, seed=seed)
-        results[system] = per_size
-    return results

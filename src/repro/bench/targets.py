@@ -52,10 +52,6 @@ class BenchTarget:
         else:
             self.sim.drain(extra)
 
-    def elapsed_since(self, start: float) -> float:
-        """Simulated seconds elapsed since ``start``."""
-        return self.sim.now() - start
-
     def is_scfs(self) -> bool:
         """True for SCFS variants, False for the baselines."""
         return self.deployment is not None

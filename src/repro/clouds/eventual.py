@@ -352,10 +352,6 @@ class EventuallyConsistentStore(ObjectStore):
         else:
             grants[grantee_canonical_id] = permission
 
-    def get_bucket_policy(self, prefix: str) -> dict[str, Permission]:
-        """Return the grants configured for ``prefix`` (test helper)."""
-        return dict(self._bucket_policies.get(prefix, {}))
-
     # --------------------------------------------------------------- helpers
 
     def raw_object(self, key: str) -> bytes | None:

@@ -437,42 +437,6 @@ class CloudHealthTracker:
             degraded_now=self.degraded_clouds(),
         )
 
-    # ------------------------------------------------------------- persistence
-
-    def export_state(self) -> tuple[tuple, ...]:
-        """Serializable per-cloud snapshot for warm restarts.
-
-        Captures everything :meth:`plan` and the latency estimators consult —
-        status, failure streak, probe window, latency EWMA — as plain nested
-        tuples, so the snapshot can ride inside a frozen
-        :class:`~repro.core.config.SCFSConfig` (see
-        ``DispatchPolicyConfig.health_snapshot``) and an agent restarted after
-        a crash resumes with a *warm* suspect list instead of re-paying the
-        detection latency of every known-bad provider.  Lifetime counters
-        (suspicions/recoveries) are intentionally excluded: they belong to the
-        previous incarnation's report, not to the new tracker's.
-        """
-        return tuple(
-            (record.cloud, record.status.value, record.consecutive_failures,
-             record.suspected_at, record.probe_at, record.probe_interval,
-             record.ewma_latency, record.samples)
-            for record in sorted(self._clouds.values(), key=lambda r: r.cloud)
-        )
-
-    def restore_state(self, state: Sequence[Sequence]) -> None:
-        """Load a snapshot produced by :meth:`export_state`."""
-        for entry in state:
-            (cloud, status, failures, suspected_at,
-             probe_at, probe_interval, ewma, samples) = entry
-            record = self.health(cloud)
-            record.status = CloudStatus(status)
-            record.consecutive_failures = int(failures)
-            record.suspected_at = suspected_at
-            record.probe_at = probe_at
-            record.probe_interval = float(probe_interval)
-            record.ewma_latency = ewma
-            record.samples = int(samples)
-
 
 @dataclass(frozen=True)
 class QuorumPlan:

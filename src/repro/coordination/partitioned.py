@@ -83,10 +83,6 @@ class PartitionedCoordination(CoordinationService):
         index = self.partition_function(key, len(self.services))
         return self.services[index % len(self.services)]
 
-    def partition_of(self, key: str) -> int:
-        """Index of the partition responsible for ``key`` (observability/tests)."""
-        return self.partition_function(key, len(self.services)) % len(self.services)
-
     # -- sessions ----------------------------------------------------------------
     #
     # A client session must exist on every partition, because a single file

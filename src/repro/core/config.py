@@ -119,11 +119,6 @@ class DispatchPolicyConfig:
     #: background-task timeline, so enabling this shifts event schedules (and
     #: therefore scenario replay fingerprints).
     ewma_estimates: bool = False
-    #: Warm-start snapshot for the health tracker, as produced by
-    #: :meth:`~repro.clouds.health.CloudHealthTracker.export_state`.  An agent
-    #: restarted with its predecessor's snapshot resumes with a warm suspect
-    #: list instead of re-detecting every known-bad provider from scratch.
-    health_snapshot: tuple = ()
 
     @property
     def tracks_health(self) -> bool:
@@ -140,10 +135,6 @@ class DispatchPolicyConfig:
             raise ConfigurationError("the hedge delay must be positive")
         if self.suspicion_threshold < 0:
             raise ConfigurationError("the suspicion threshold must be non-negative")
-        if self.health_snapshot and not self.tracks_health:
-            raise ConfigurationError(
-                "health_snapshot requires suspicion tracking "
-                "(set suspicion_threshold > 0, or drop the snapshot)")
         if self.tracks_health:
             try:
                 self.suspicion().validate()
@@ -166,17 +157,10 @@ class DispatchPolicyConfig:
         )
 
     def make_tracker(self) -> CloudHealthTracker | None:
-        """Build the per-client health tracker, or ``None`` when disabled.
-
-        A configured :attr:`health_snapshot` is restored into the fresh
-        tracker, warming its suspect list across agent restarts.
-        """
+        """Build the per-client health tracker, or ``None`` when disabled."""
         if not self.tracks_health:
             return None
-        tracker = CloudHealthTracker(self.suspicion())
-        if self.health_snapshot:
-            tracker.restore_state(self.health_snapshot)
-        return tracker
+        return CloudHealthTracker(self.suspicion())
 
 
 @dataclass(frozen=True)

@@ -16,19 +16,18 @@ Fast paths
 * **Systematic encode** — the first ``k`` coded blocks are literal slices of
   the framed payload, so encoding multiplies only the ``n - k`` parity rows
   (roughly halving the work at the paper's ``(4, 2)``).
-* **Streaming zero-copy encode** — :meth:`ErasureCoder.frame_into` lays the
-  frame header out in a caller-owned ``(n, block_len)`` buffer and exposes
-  the payload region as a writable view (so the cipher can place ciphertext
-  directly where the systematic blocks live, with no intermediate copy), and
-  :meth:`ErasureCoder.encode_stripes` walks that buffer in column stripes,
-  computing the parity rows of each stripe in place via ``gf256.matmul``'s
-  ``out=`` path.  Stripes are column ranges of the ``(k, block_len)`` data
-  matrix, so stripewise parity is byte-identical to whole-block parity while
-  each stripe's bytes are still cache-hot for the consumer (the DepSky write
-  pipeline feeds them straight into incremental digests).
-  :meth:`ErasureCoder.stream` and :meth:`ErasureCoder.encode_into` wrap this
-  for plain ``bytes`` payloads; :meth:`ErasureCoder.encode` keeps the
-  list-of-:class:`CodedBlock` API on top.
+* **Streaming zero-copy encode** — the one encode path.
+  :meth:`ErasureCoder.frame_into` lays the frame header out in a fresh
+  ``(n, block_len)`` buffer and exposes the payload region as a writable view
+  (so the cipher can place ciphertext directly where the systematic blocks
+  live, with no intermediate copy), and :meth:`ErasureCoder.encode_stripes`
+  walks that buffer in column stripes, computing the parity rows of each
+  stripe in place via ``gf256.matmul``'s ``out=`` path.  Stripes are column
+  ranges of the ``(k, block_len)`` data matrix, so stripewise parity is
+  byte-identical to whole-block parity while each stripe's bytes are still
+  cache-hot for the consumer (the DepSky write pipeline feeds them straight
+  into incremental digests).  :meth:`ErasureCoder.encode` runs the same two
+  steps for a plain ``bytes`` payload and returns :class:`CodedBlock` objects.
 * **Systematic decode** — when the ``k`` chosen blocks are exactly the
   systematic ones, decoding is a pure byte concatenation with no field
   arithmetic at all.  DepSky's preferred-quorum reads hit this path whenever
@@ -36,10 +35,6 @@ Fast paths
 * **Decode-matrix cache** — inverted submatrices are cached per
   surviving-block index tuple, so repeated reads under the same failure
   pattern skip the Gauss–Jordan inversion entirely.
-* **Chunked encode/decode** — the underlying ``gf256.matmul`` picks its
-  kernel per stripe (the nibble-split pair-table path for the wide stripes
-  used here) and bounds its own temporaries, so multi-hundred-MB payloads
-  never materialise a proportional gather tensor.
 """
 
 from __future__ import annotations
@@ -59,10 +54,9 @@ _HEADER = struct.Struct(">HQ")
 _MAGIC = 0x5343  # "SC"
 
 #: Default column-stripe width (bytes per block row) for the streaming
-#: encode.  Wide enough that every stripe takes gf256's nibble-split kernel
-#: (>= its 32 KiB threshold) and the per-stripe Python overhead vanishes,
-#: small enough that one stripe across all ``n`` rows stays cache-resident
-#: for the digest/assembly consumers downstream.
+#: encode.  Wide enough that gf256's per-call overhead vanishes against the
+#: stripe's gather work, small enough that one stripe across all ``n`` rows
+#: stays cache-resident for the digest/assembly consumers downstream.
 DEFAULT_STRIPE_BYTES = 1 << 17
 
 
@@ -125,38 +119,28 @@ class ErasureCoder:
 
     def encode(self, data: bytes) -> list[CodedBlock]:
         """Split ``data`` into ``n`` coded blocks, any ``k`` of which rebuild it."""
-        buffer = self.encode_into(data)
+        buffer, payload_view = self.frame_into(len(data))
+        payload_view[:] = np.frombuffer(data, dtype=np.uint8)
+        for _ in self.encode_stripes(buffer):
+            pass
         return [CodedBlock(index=i, payload=buffer[i].tobytes())
                 for i in range(self.n)]
 
-    def frame_into(self, data_len: int,
-                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def frame_into(self, data_len: int) -> tuple[np.ndarray, np.ndarray]:
         """Lay out the encode buffer for a ``data_len``-byte payload.
 
-        Returns ``(buffer, payload_view)``: ``buffer`` is an
-        ``(n, block_len)`` uint8 array (``out`` when given, freshly
-        zero-allocated otherwise) whose first ``k`` rows will hold the framed
-        payload, and ``payload_view`` is the flat writable view of the
-        ``data_len`` payload bytes inside it.  The frame header is written
-        and the padding tail zeroed; the caller fills ``payload_view`` (e.g.
-        the cipher encrypts straight into it) and then runs
-        :meth:`encode_stripes` over the buffer.
+        Returns ``(buffer, payload_view)``: ``buffer`` is a freshly
+        zero-allocated ``(n, block_len)`` uint8 array whose first ``k`` rows
+        will hold the framed payload, and ``payload_view`` is the flat
+        writable view of the ``data_len`` payload bytes inside it.  The frame
+        header is written and the padding tail is zero; the caller fills
+        ``payload_view`` (e.g. the cipher encrypts straight into it) and then
+        runs :meth:`encode_stripes` over the buffer.
         """
-        block_len = self.block_size(data_len)
-        if out is None:
-            buffer = np.zeros((self.n, block_len), dtype=np.uint8)
-        else:
-            if (out.shape != (self.n, block_len) or out.dtype != np.uint8
-                    or not out.flags.c_contiguous):
-                raise ValueError(
-                    f"out must be a C-contiguous uint8 array of shape "
-                    f"{(self.n, block_len)}")
-            buffer = out
+        buffer = np.zeros((self.n, self.block_size(data_len)), dtype=np.uint8)
         flat = buffer[:self.k].reshape(-1)
-        header = np.frombuffer(_HEADER.pack(_MAGIC, data_len), dtype=np.uint8)
-        flat[:_HEADER.size] = header
-        if out is not None and _HEADER.size + data_len < flat.shape[0]:
-            flat[_HEADER.size + data_len:] = 0  # zero the padding tail
+        flat[:_HEADER.size] = np.frombuffer(_HEADER.pack(_MAGIC, data_len),
+                                            dtype=np.uint8)
         payload_view = flat[_HEADER.size:_HEADER.size + data_len]
         return buffer, payload_view
 
@@ -190,35 +174,6 @@ class ErasureCoder:
                              blocks=buffer[:, start:stop])
         if block_len == 0:
             yield StripeView(start=0, stop=0, blocks=buffer)
-
-    def stream(self, data: bytes,
-               out: np.ndarray | None = None,
-               stripe_bytes: int = DEFAULT_STRIPE_BYTES) -> Iterator[StripeView]:
-        """Stream-encode ``data``: yield each column stripe as it is coded.
-
-        Frames ``data`` into ``out`` (or a fresh buffer), then drives
-        :meth:`encode_stripes`.  Equivalent to :meth:`encode_into` but hands
-        the caller every stripe while later stripes are still pending.
-        """
-        buffer, payload_view = self.frame_into(len(data), out)
-        payload_view[:] = np.frombuffer(data, dtype=np.uint8)
-        yield from self.encode_stripes(buffer, stripe_bytes)
-
-    def encode_into(self, data: bytes,
-                    out: np.ndarray | None = None,
-                    stripe_bytes: int = DEFAULT_STRIPE_BYTES) -> np.ndarray:
-        """Encode ``data`` into an ``(n, block_len)`` buffer and return it.
-
-        Row ``i`` of the result is coded block ``i`` (the first ``k`` rows
-        are the framed systematic payload, the rest parity) — the zero-copy
-        equivalent of :meth:`encode` for callers that can consume array rows
-        instead of ``bytes``.
-        """
-        buffer, payload_view = self.frame_into(len(data), out)
-        payload_view[:] = np.frombuffer(data, dtype=np.uint8)
-        for _ in self.encode_stripes(buffer, stripe_bytes):
-            pass
-        return buffer
 
     def decode(self, blocks: list[CodedBlock]) -> bytes:
         """Rebuild the original data from any ``k`` distinct coded blocks."""

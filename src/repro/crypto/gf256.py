@@ -7,39 +7,30 @@ polynomial ``x^8 + x^4 + x^3 + x + 1`` (0x11B).
 Vectorisation strategy
 ----------------------
 Every SCFS write erasure-codes its payload, so :func:`matmul` is the single
-hottest function in the system.  It is implemented without any Python-level
-inner loop, with **three** kernel strategies chosen by a size heuristic:
+hottest function in the system.  It has exactly one kernel, with no Python
+loop over bytes: the **nibble split**.  Every field product decomposes over
+the two nibbles of the input byte, ``c·b = c·(b & 0x0F) ⊕ c·(b >> 4 << 4)``,
+so per coefficient only the two 16-entry columns of :data:`NIBBLE_TABLE` (a
+precomputed ``(256, 2, 16)`` tensor that stays L1-resident) are needed.  The
+kernel expands them once per coefficient — an outer XOR of the low/high
+nibble products — into a 65536-entry ``uint16`` *pair table* mapping two
+adjacent input bytes to their two product bytes, then gathers two bytes per
+``take`` on ``uint16`` views of the row buffers and XOR-accumulates (XOR is
+addition in GF(2^8)) on ``uint64`` views, falling back to narrower lanes for
+odd tails and unaligned rows.  Coefficients 0 and 1 skip the table
+entirely.  A pair table costs ~15 µs to build and is cached per coefficient
+for the life of the process; there are only 254 non-trivial coefficients, so
+the cache needs no eviction.
 
-* **Row gather** (small matrices, short blocks): one whole-block row gather
-  ``MUL_TABLE[coeff][block]`` per non-zero coefficient, XOR-accumulated (XOR
-  is addition in GF(2^8)).  ``MUL_TABLE`` is the full precomputed 256×256
-  product table; a row of it is 256 bytes and stays L1-resident across the
-  gather.  This path has the lowest fixed overhead and wins whenever the
-  per-coefficient table setup of the nibble-split path cannot amortise.
-* **Nibble split** (long blocks — the erasure-encode hot path): every field
-  product decomposes over the two nibbles of the input byte,
-  ``c·b = c·(b & 0x0F) ⊕ c·(b >> 4 << 4)``, so per coefficient only the two
-  16-entry columns of :data:`NIBBLE_TABLE` (a precomputed ``(256, 2, 16)``
-  tensor that stays L1-resident) are needed.  The kernel expands them once
-  per coefficient — an outer XOR of the low/high nibble products — into a
-  65536-entry ``uint16`` *pair table* mapping two adjacent input bytes to
-  their two product bytes, then gathers two bytes per ``take`` on ``uint16``
-  views of the row buffers and XOR-accumulates on ``uint64`` views (falling
-  back to byte-wise XOR for tails and unaligned rows).  Halving the gather
-  count is what breaks the one-gather-per-coefficient ceiling of the row
-  path: the pair tables cost ~15 µs each to build and are cached (bounded by
-  :data:`_PAIR_CACHE_MAX`), so throughput roughly doubles at ≥64 KiB blocks.
-* **3-D gather** (large matrices, short blocks): a single gather
-  ``MUL_TABLE[matrix[:, :, None], blocks[None, :, :]]`` producing the
-  ``(r, k, L)`` tensor of partial products, reduced along the shared ``k``
-  axis with ``np.bitwise_xor.reduce``.  The tensor materialises ``r * k * L``
-  bytes, so long blocks are processed in slices of at most
-  :data:`_MAX_GATHER_BYTES` of temporary memory.
+One kernel serves every shape and length.  A per-coefficient row gather
+(``MUL_TABLE[coeff][block]``) has lower fixed overhead, but it only wins
+below ~1 KiB per row, where a whole matmul costs ~20 µs either way; the
+nibble split is ~2× faster at 4 KiB and ~2.5× at 16 KiB (see README.md).
 
-:func:`matmul` and :func:`mul_block` accept an ``out=`` destination so
-callers on the streaming write pipeline can reuse buffers; aliasing the
-output with an input is rejected loudly (``ValueError``) because the kernels
-accumulate in place.
+:func:`matmul` accepts an ``out=`` destination so the streaming encoder can
+write parity straight into column stripes of its buffer; aliasing the output
+with an input is rejected loudly (``ValueError``) because the kernel
+accumulates in place.
 
 :func:`matmul_matrix` and :func:`invert_matrix` (Gauss–Jordan with
 whole-matrix row elimination per pivot) use the plain gather idiom; the
@@ -48,10 +39,9 @@ pattern (see ``repro.crypto.erasure.ErasureCoder``).
 
 A deliberately scalar reference implementation — a triple-nested Python loop
 over per-element table lookups, :func:`_matmul_scalar` — exists purely so
-property tests can cross-check every vectorised path byte-for-byte and so
-the throughput benchmark (``benchmarks/bench_coding_throughput.py``) can
-assert the vectorised paths stay orders of magnitude ahead of per-element
-Python.
+property tests can cross-check the kernel byte-for-byte and so the
+throughput benchmark (``benchmarks/bench_coding_throughput.py``) can assert
+the kernel stays orders of magnitude ahead of per-element Python.
 
 :func:`invert_matrix` raises
 :class:`~repro.common.errors.SingularMatrixError` (a ``ValueError``
@@ -70,12 +60,6 @@ _POLY = 0x11B
 _GENERATOR = 0x03
 
 FIELD_SIZE = 256
-
-#: Upper bound on the temporary gather tensor materialised by one
-#: :func:`matmul` slice (bytes).  64 MiB keeps peak memory flat even when
-#: encoding multi-hundred-MB payloads while staying far above the size where
-#: numpy's per-call overhead would matter.
-_MAX_GATHER_BYTES = 1 << 26
 
 
 def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,11 +98,9 @@ NIBBLE_TABLE = np.stack(
 _LOW_NIBBLE = np.arange(256) & 0x0F
 _HIGH_NIBBLE = np.arange(256) >> 4
 
-#: Bound on cached per-coefficient pair tables (128 KiB each); DepSky's
-#: encode matrices use far fewer distinct coefficients than this, so in
-#: practice every coefficient of a coder's parity matrix stays cached.
-_PAIR_CACHE_MAX = 64
-
+#: Pair tables (128 KiB each) keyed by coefficient.  At most the 254
+#: coefficients other than 0 and 1 are ever cached; a (4, 2) coder's parity
+#: and decode matrices use a few dozen of them.
 _pair_cache: dict[int, np.ndarray] = {}
 
 
@@ -140,8 +122,6 @@ def _pair_table(coeff: int) -> np.ndarray:
         byte_products = low[_LOW_NIBBLE] ^ high[_HIGH_NIBBLE]  # (256,) uint16
         table = ((byte_products[:, None] << np.uint16(8)) | byte_products[None, :])
         table = np.ascontiguousarray(table.reshape(-1))
-        if len(_pair_cache) >= _PAIR_CACHE_MAX:
-            _pair_cache.pop(next(iter(_pair_cache)))
         _pair_cache[coeff] = table
     return table
 
@@ -178,47 +158,13 @@ def gf_pow(a: int, exponent: int) -> int:
     return int(_EXP[(int(_LOG[a]) * exponent) % 255])
 
 
-def gf_add(a: int, b: int) -> int:
-    """Addition (and subtraction) in GF(2^8) is XOR."""
-    return a ^ b
-
-
-def mul_block(scalar: int, block: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Multiply every byte of ``block`` by the field ``scalar`` (vectorised).
-
-    With ``out=`` the product is written into the caller's buffer (same shape
-    and dtype as ``block``); aliasing ``out`` with ``block`` is rejected.
-    """
-    if out is not None:
-        if out.shape != block.shape or out.dtype != np.uint8:
-            raise ValueError("out must be a uint8 array of the block's shape")
-        if np.shares_memory(out, block):
-            raise ValueError("mul_block out= must not alias the input block")
-        if scalar == 0:
-            out.fill(0)
-        elif scalar == 1:
-            out[...] = block
-        else:
-            out[...] = MUL_TABLE[scalar][block]
-        return out
+def mul_block(scalar: int, block: np.ndarray) -> np.ndarray:
+    """Multiply every byte of ``block`` by the field ``scalar`` (vectorised)."""
     if scalar == 0:
         return np.zeros_like(block)
     if scalar == 1:
         return block.copy()
     return MUL_TABLE[scalar][block]
-
-
-#: Below this many matrix entries, per-coefficient row gathers beat the 3-D
-#: gather: the Python loop runs r*k times over whole-block numpy ops, while
-#: the 3-D gather pays for materialising and re-reading the (r, k, L) tensor.
-_DENSE_GATHER_MIN_ENTRIES = 64
-
-#: At and above this block length the nibble-split pair-table kernel wins:
-#: its per-coefficient setup (two 16-entry columns expanded into a 128 KiB
-#: pair table, ~15 µs, cached) amortises and its two-bytes-per-gather main
-#: loop runs ~2x faster than one-gather-per-byte row gathers.
-_NIBBLE_MIN_BYTES = 1 << 15
 
 
 def _check_out(out: np.ndarray, rows: int, length: int,
@@ -230,7 +176,7 @@ def _check_out(out: np.ndarray, rows: int, length: int,
             f"got {out.dtype} {out.shape}")
     if np.shares_memory(out, blocks) or np.shares_memory(out, matrix):
         raise ValueError("matmul out= must not alias the inputs "
-                         "(the kernels accumulate in place)")
+                         "(the kernel accumulates in place)")
     return out
 
 
@@ -240,11 +186,8 @@ def matmul(matrix: np.ndarray, blocks: np.ndarray,
 
     ``blocks`` has shape ``(k, block_len)`` with dtype ``uint8``; the result
     has shape ``(r, block_len)``.  Used by the erasure coder for both
-    encoding and decoding.  Three fully vectorised strategies, chosen by
-    matrix size and block length (see the module docstring): per-coefficient
-    row gathers for small matrices on short blocks, the nibble-split
-    pair-table kernel for long blocks, and the chunked 3-D gather for large
-    matrices on short blocks.
+    encoding and decoding, always through the nibble-split kernel (see the
+    module docstring).
 
     ``out=`` writes the result into a caller-owned ``(r, block_len)`` uint8
     array (its prior contents are discarded); rows of ``out`` may be strided
@@ -265,38 +208,11 @@ def matmul(matrix: np.ndarray, blocks: np.ndarray,
         # Rows must be contiguous byte runs; the 2-D array itself may be a
         # strided (column-sliced) view, which the stripe encoder relies on.
         blocks = np.ascontiguousarray(blocks, dtype=np.uint8)
-    if out is not None:
-        _check_out(out, rows, length, matrix, blocks)
-    if length >= _NIBBLE_MIN_BYTES:
-        if out is None:
-            out = np.zeros((rows, length), dtype=np.uint8)
-        else:
-            out.fill(0)
-        return _matmul_nibble(matrix, blocks, out)
-    if rows * cols <= _DENSE_GATHER_MIN_ENTRIES:
-        if out is None:
-            out = np.zeros((rows, length), dtype=np.uint8)
-        else:
-            out.fill(0)
-        for i in range(rows):
-            for j in range(cols):
-                coeff = int(matrix[i, j])
-                if coeff == 0:
-                    continue
-                if coeff == 1:
-                    out[i] ^= blocks[j]
-                else:
-                    out[i] ^= MUL_TABLE[coeff][blocks[j]]
-        return out
     if out is None:
-        out = np.empty((rows, length), dtype=np.uint8)
-    chunk = max(1, _MAX_GATHER_BYTES // (rows * cols))
-    expanded = matrix[:, :, None]
-    for start in range(0, length, chunk):
-        segment = blocks[None, :, start:start + chunk]
-        np.bitwise_xor.reduce(MUL_TABLE[expanded, segment], axis=1,
-                              out=out[:, start:start + chunk])
-    return out
+        out = np.zeros((rows, length), dtype=np.uint8)
+    else:
+        _check_out(out, rows, length, matrix, blocks).fill(0)
+    return _matmul_nibble(matrix, blocks, out)
 
 
 def _xor_accumulate(dst: np.ndarray, src: np.ndarray) -> None:

@@ -64,13 +64,6 @@ class DataUnitMetadata:
         candidates = [v for v in self.versions if v.data_digest == digest]
         return max(candidates, key=lambda v: v.version) if candidates else None
 
-    def find_by_version(self, version: int) -> VersionRecord | None:
-        """Return the record with the given version number, if present."""
-        for record in self.versions:
-            if record.version == version:
-                return record
-        return None
-
     def next_version(self) -> int:
         """Version number the next write should use."""
         latest = self.latest()

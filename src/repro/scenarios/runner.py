@@ -47,6 +47,7 @@ from repro.common.errors import (
     TransactionConflictError,
 )
 from repro.common.types import Permission
+from repro.coordination.partitioned import PartitionedCoordination
 from repro.core.backend import CloudOfCloudsBackend
 from repro.core.deployment import SCFSDeployment
 from repro.scenarios.invariants import Violation, check_all
@@ -204,16 +205,23 @@ class ScenarioRunner:
                 recorder.record("agent_restart", agent=name,
                                 time=deployment.sim.now(), crashed_at=crashed_at)
         else:
-            rsm = deployment.coordination.rsm
-            if action == "start":
-                if phase.kind == "crash":
-                    rsm.crash_replica(index)
-                elif phase.kind == "partition":
-                    rsm.partition_replica(index)
+            # A pooled deployment shards coordination over partitions, each
+            # its own replica group: ``replica:i`` is replica i of every group.
+            coordination = deployment.coordination
+            services = (coordination.services
+                        if isinstance(coordination, PartitionedCoordination)
+                        else [coordination])
+            for service in services:
+                rsm = service.rsm
+                if action == "start":
+                    if phase.kind == "crash":
+                        rsm.crash_replica(index)
+                    elif phase.kind == "partition":
+                        rsm.partition_replica(index)
+                    else:
+                        rsm.make_byzantine(index)
                 else:
-                    rsm.make_byzantine(index)
-            else:
-                rsm.recover_replica(index)
+                    rsm.recover_replica(index)
         if deployment.coalescer is not None:
             # A fault transition changes what the clouds serve without going
             # through a mutating quorum call, so expire the coalescing window.

@@ -89,7 +89,6 @@ class TestVectorizedAgainstScalarReference:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_matmul_agrees_with_scalar_reference(self, rows, cols, length, seed):
-        # rows*cols spans both matmul strategies (accumulate and 3-D gather).
         rng = np.random.default_rng(seed)
         matrix = rng.integers(0, 256, size=(rows, cols), dtype=np.uint8)
         blocks = rng.integers(0, 256, size=(cols, length), dtype=np.uint8)
@@ -113,8 +112,9 @@ class TestVectorizedAgainstScalarReference:
 
     @settings(max_examples=60, deadline=None)
     @given(
+        # Shapes up to (8, 16) put up to 128 distinct coefficients in one call.
         rows=st.integers(min_value=1, max_value=8),
-        cols=st.integers(min_value=1, max_value=8),
+        cols=st.integers(min_value=1, max_value=16),
         # Lengths straddle every alignment case of the nibble kernel: empty,
         # odd (scalar tail byte), non-multiples of 8 (uint16 accumulation
         # lanes), and multiples of 8 (uint64 lanes).
@@ -125,9 +125,6 @@ class TestVectorizedAgainstScalarReference:
     )
     def test_nibble_kernel_agrees_with_scalar_reference(
             self, rows, cols, length, seed, sprinkle_edge_coeffs):
-        # The production heuristic only routes blocks >= 32 KiB through the
-        # nibble-split kernel; dropping the threshold to 1 byte lets
-        # hypothesis drive the same kernel over small shapes cheaply.
         rng = np.random.default_rng(seed)
         matrix = rng.integers(0, 256, size=(rows, cols), dtype=np.uint8)
         if sprinkle_edge_coeffs:
@@ -137,24 +134,17 @@ class TestVectorizedAgainstScalarReference:
             matrix[mask == 1] = 1
         blocks = rng.integers(0, 256, size=(cols, length), dtype=np.uint8)
         expected = gf256._matmul_scalar(matrix, blocks)
-        saved = gf256._NIBBLE_MIN_BYTES
-        gf256._NIBBLE_MIN_BYTES = 1
-        try:
-            assert np.array_equal(gf256.matmul(matrix, blocks), expected)
-            out = np.full((rows, length), 0xCD, dtype=np.uint8)
-            assert np.array_equal(gf256.matmul(matrix, blocks, out=out),
-                                  expected)
-            # Strided views (the stripe encoder's shape): rows stay
-            # contiguous, the 2-D arrays do not.
-            backing_in = np.zeros((cols, length + 32), dtype=np.uint8)
-            backing_in[:, 16:16 + length] = blocks
-            backing_out = np.zeros((rows, length + 32), dtype=np.uint8)
-            strided_out = backing_out[:, 16:16 + length]
-            gf256.matmul(matrix, backing_in[:, 16:16 + length],
-                         out=strided_out)
-            assert np.array_equal(strided_out, expected)
-        finally:
-            gf256._NIBBLE_MIN_BYTES = saved
+        assert np.array_equal(gf256.matmul(matrix, blocks), expected)
+        out = np.full((rows, length), 0xCD, dtype=np.uint8)
+        assert np.array_equal(gf256.matmul(matrix, blocks, out=out), expected)
+        # Strided views (the stripe encoder's shape): rows stay contiguous,
+        # the 2-D arrays do not.
+        backing_in = np.zeros((cols, length + 32), dtype=np.uint8)
+        backing_in[:, 16:16 + length] = blocks
+        backing_out = np.zeros((rows, length + 32), dtype=np.uint8)
+        strided_out = backing_out[:, 16:16 + length]
+        gf256.matmul(matrix, backing_in[:, 16:16 + length], out=strided_out)
+        assert np.array_equal(strided_out, expected)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -165,14 +155,9 @@ class TestVectorizedAgainstScalarReference:
         rng = np.random.default_rng(seed)
         matrix = rng.integers(0, 256, size=(2, 2), dtype=np.uint8)
         blocks = rng.integers(0, 256, size=(2, length), dtype=np.uint8)
-        saved = gf256._NIBBLE_MIN_BYTES
-        gf256._NIBBLE_MIN_BYTES = 1
-        try:
-            if length:  # zero-length arrays share no memory
-                with pytest.raises(ValueError, match="alias"):
-                    gf256.matmul(matrix, blocks, out=blocks)
-        finally:
-            gf256._NIBBLE_MIN_BYTES = saved
+        if length:  # zero-length arrays share no memory
+            with pytest.raises(ValueError, match="alias"):
+                gf256.matmul(matrix, blocks, out=blocks)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -184,7 +169,10 @@ class TestVectorizedAgainstScalarReference:
             self, data, params, stripe_bytes):
         n, k = params
         coder = ErasureCoder(n, k)
-        buffer = coder.encode_into(data, stripe_bytes=stripe_bytes)
+        buffer, payload_view = coder.frame_into(len(data))
+        payload_view[:] = np.frombuffer(data, dtype=np.uint8)
+        for _ in coder.encode_stripes(buffer, stripe_bytes=stripe_bytes):
+            pass
         assert [row.tobytes() for row in buffer] == _reference_encode(coder, data)
 
     @settings(max_examples=30, deadline=None)

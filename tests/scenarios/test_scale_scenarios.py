@@ -65,6 +65,17 @@ def test_pooled_scale_run_upholds_all_invariants() -> None:
     assert result.stats["events"] > 0 and result.stats["quorum_calls"] > 0
 
 
+def test_replica_fault_on_partitioned_coordination_runs_clean() -> None:
+    # ``replica:i`` faults apply to replica i of every coordination
+    # partition; the partitioned facade itself has no replicas to crash.
+    spec = ScenarioSpec.generate_scale(seed=1, agents=20, files=200,
+                                       ops_per_agent=10, mix="crash-hang")
+    result = ScenarioRunner(spec).run()
+    assert result.ok, "\n" + result.report()
+    assert any(e.fields["target"].startswith("replica:")
+               for e in result.trace.by_kind("fault_start"))
+
+
 def test_scale_spec_shape() -> None:
     spec = _scale_spec(agents=30, partitions=4)
     assert len(spec.agents) == 30

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import SingularMatrixError
-from repro.crypto import gf256
+from repro.crypto import erasure, gf256
 from repro.crypto.cipher import KEY_SIZE, SymmetricCipher, generate_key
 from repro.crypto.erasure import CodedBlock, ErasureCoder
 from repro.crypto.hashing import content_digest, hmac_digest, short_digest, verify_hmac
@@ -90,22 +90,12 @@ class TestGF256:
                               gf256._matmul_scalar(matrix, blocks))
 
     def test_matmul_large_matrix_path_matches_scalar_reference(self):
-        # rows * cols > _DENSE_GATHER_MIN_ENTRIES exercises the chunked
-        # 3-D gather + bitwise_xor.reduce strategy.
         rng = np.random.default_rng(8)
-        matrix = rng.integers(0, 256, size=(9, 9), dtype=np.uint8)
-        blocks = rng.integers(0, 256, size=(9, 257), dtype=np.uint8)
-        assert matrix.size > gf256._DENSE_GATHER_MIN_ENTRIES
-        assert np.array_equal(gf256.matmul(matrix, blocks),
-                              gf256._matmul_scalar(matrix, blocks))
-
-    def test_matmul_chunking_is_invisible(self, monkeypatch):
-        rng = np.random.default_rng(9)
-        matrix = rng.integers(0, 256, size=(9, 9), dtype=np.uint8)
-        blocks = rng.integers(0, 256, size=(9, 1000), dtype=np.uint8)
-        whole = gf256.matmul(matrix, blocks)
-        monkeypatch.setattr(gf256, "_MAX_GATHER_BYTES", 1024)
-        assert np.array_equal(gf256.matmul(matrix, blocks), whole)
+        for rows, cols in [(9, 9), (8, 16)]:
+            matrix = rng.integers(0, 256, size=(rows, cols), dtype=np.uint8)
+            blocks = rng.integers(0, 256, size=(cols, 257), dtype=np.uint8)
+            assert np.array_equal(gf256.matmul(matrix, blocks),
+                                  gf256._matmul_scalar(matrix, blocks))
 
     def test_matmul_empty_blocks(self):
         matrix = np.array([[1, 2], [3, 4]], dtype=np.uint8)
@@ -114,7 +104,7 @@ class TestGF256:
 
 
 class TestMatmulOutParameter:
-    """The ``out=`` destination path of matmul/mul_block."""
+    """The ``out=`` destination path of matmul."""
 
     def _case(self, rows, cols, length, seed=0):
         rng = np.random.default_rng(seed)
@@ -122,12 +112,8 @@ class TestMatmulOutParameter:
         blocks = rng.integers(0, 256, size=(cols, length), dtype=np.uint8)
         return matrix, blocks
 
-    def test_out_matches_plain_result_on_every_strategy(self, monkeypatch):
-        for rows, cols, length in [(2, 2, 64),     # row gather
-                                   (9, 9, 257),    # 3-D gather
-                                   (2, 2, 200)]:   # nibble (threshold lowered)
-            if length == 200:
-                monkeypatch.setattr(gf256, "_NIBBLE_MIN_BYTES", 1)
+    def test_out_matches_plain_result_on_every_strategy(self):
+        for rows, cols, length in [(2, 2, 64), (9, 9, 257), (2, 2, 200)]:
             matrix, blocks = self._case(rows, cols, length)
             expected = gf256.matmul(matrix, blocks)
             out = np.full((rows, length), 0xAB, dtype=np.uint8)  # dirty buffer
@@ -138,14 +124,14 @@ class TestMatmulOutParameter:
     def test_out_rows_may_be_strided_views(self):
         # The stripe encoder writes into column slices of a larger buffer:
         # each row is contiguous but the 2-D view is strided.
-        matrix, blocks = self._case(2, 2, gf256._NIBBLE_MIN_BYTES)
+        matrix, blocks = self._case(2, 2, 1 << 15)
         backing = np.zeros((2, blocks.shape[1] + 64), dtype=np.uint8)
         out = backing[:, 32:32 + blocks.shape[1]]
         gf256.matmul(matrix, blocks, out=out)
         assert np.array_equal(out, gf256.matmul(matrix, blocks))
 
     def test_strided_input_blocks_match_contiguous(self):
-        matrix, blocks = self._case(2, 2, gf256._NIBBLE_MIN_BYTES + 65)
+        matrix, blocks = self._case(2, 2, (1 << 15) + 65)
         sliced = blocks[:, 17:-13]  # strided 2-D view, contiguous rows
         assert np.array_equal(gf256.matmul(matrix, sliced),
                               gf256.matmul(matrix, np.ascontiguousarray(sliced)))
@@ -165,31 +151,21 @@ class TestMatmulOutParameter:
         with pytest.raises(ValueError, match="uint8"):
             gf256.matmul(matrix, blocks, out=np.zeros((2, 64), dtype=np.uint16))
 
-    def test_mul_block_out(self):
-        block = np.arange(256, dtype=np.uint8)
-        for scalar in (0, 1, 7):
-            out = np.full(256, 0xEE, dtype=np.uint8)
-            assert gf256.mul_block(scalar, block, out=out) is out
-            assert np.array_equal(out, gf256.mul_block(scalar, block))
-        with pytest.raises(ValueError, match="alias"):
-            gf256.mul_block(7, block, out=block)
-
 
 class TestNibbleKernel:
-    """The nibble-split pair-table kernel used for long blocks."""
+    """The nibble-split pair-table kernel behind every matmul."""
 
-    def test_production_threshold_path_matches_row_gather(self, monkeypatch):
+    def test_production_threshold_path_matches_row_gather(self):
+        # A long odd-length block against per-coefficient MUL_TABLE row
+        # gathers, which are cheaper than the scalar reference at this size.
         rng = np.random.default_rng(11)
         matrix = rng.integers(0, 256, size=(2, 2), dtype=np.uint8)
-        blocks = rng.integers(0, 256,
-                              size=(2, gf256._NIBBLE_MIN_BYTES + 1),  # odd tail
-                              dtype=np.uint8)
-        nibble = gf256.matmul(matrix, blocks)
-        monkeypatch.setattr(gf256, "_NIBBLE_MIN_BYTES", 1 << 62)
-        assert np.array_equal(gf256.matmul(matrix, blocks), nibble)
+        blocks = rng.integers(0, 256, size=(2, (1 << 15) + 1), dtype=np.uint8)
+        gathered = [gf256.MUL_TABLE[matrix[i, 0]][blocks[0]]
+                    ^ gf256.MUL_TABLE[matrix[i, 1]][blocks[1]] for i in range(2)]
+        assert np.array_equal(gf256.matmul(matrix, blocks), np.stack(gathered))
 
-    def test_zero_and_one_coefficients(self, monkeypatch):
-        monkeypatch.setattr(gf256, "_NIBBLE_MIN_BYTES", 1)
+    def test_zero_and_one_coefficients(self):
         matrix = np.array([[0, 1], [1, 0], [0, 0], [1, 1]], dtype=np.uint8)
         blocks = np.random.default_rng(12).integers(
             0, 256, size=(2, 99), dtype=np.uint8)
@@ -201,11 +177,16 @@ class TestNibbleKernel:
 
     def test_pair_table_is_cached_and_bounded(self):
         gf256._pair_cache.clear()
-        first = gf256._pair_table(7)
-        assert gf256._pair_table(7) is first
-        for coeff in range(2, 2 + gf256._PAIR_CACHE_MAX + 5):
-            gf256._pair_table(coeff)
-        assert len(gf256._pair_cache) <= gf256._PAIR_CACHE_MAX
+        # Every non-trivial coefficient, twice: one build each, no eviction.
+        tables = {coeff: gf256._pair_table(coeff) for coeff in range(2, 256)}
+        assert all(gf256._pair_table(coeff) is table
+                   for coeff, table in tables.items())
+        assert len(gf256._pair_cache) == 254
+        # The kernel never builds a table for the 0 and 1 coefficients.
+        gf256._pair_cache.clear()
+        matrix = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        gf256.matmul(matrix, np.ones((2, 64), dtype=np.uint8))
+        assert gf256._pair_cache == {}
 
     def test_pair_table_entries_are_two_products(self):
         table = gf256._pair_table(29)
@@ -319,59 +300,33 @@ class TestErasureCoder:
 
 
 class TestStreamingEncode:
-    """frame_into / encode_stripes / stream / encode_into — the zero-copy path."""
+    """frame_into / encode_stripes — the zero-copy path."""
 
-    def test_encode_into_rows_equal_encode_payloads(self):
-        coder = ErasureCoder(4, 2)
-        data = b"streaming must not change wire bytes" * 70
-        buffer = coder.encode_into(data)
-        assert [row.tobytes() for row in buffer] == \
-            [b.payload for b in coder.encode(data)]
+    @staticmethod
+    def _stripes(coder, data, stripe_bytes=erasure.DEFAULT_STRIPE_BYTES):
+        buffer, payload_view = coder.frame_into(len(data))
+        payload_view[:] = np.frombuffer(data, dtype=np.uint8)
+        return buffer, list(coder.encode_stripes(buffer, stripe_bytes))
 
     def test_stream_yields_stripes_covering_the_buffer(self):
         coder = ErasureCoder(4, 2)
         data = bytes(range(256)) * 40
-        reference = coder.encode_into(data)
-        stripes = list(coder.stream(data, stripe_bytes=1000))
+        buffer, stripes = self._stripes(coder, data, stripe_bytes=1000)
         assert stripes[0].start == 0
-        assert stripes[-1].stop == reference.shape[1]
+        assert stripes[-1].stop == buffer.shape[1]
         for before, after in zip(stripes, stripes[1:], strict=False):
             assert before.stop == after.start
         rebuilt = np.concatenate([s.blocks for s in stripes], axis=1)
-        assert np.array_equal(rebuilt, reference)
+        assert [row.tobytes() for row in rebuilt] == \
+            [b.payload for b in coder.encode(data)]
 
     def test_stripe_width_does_not_change_the_bytes(self):
         coder = ErasureCoder(6, 4)
         data = b"width independence" * 123
-        reference = coder.encode_into(data)
+        reference = [b.payload for b in coder.encode(data)]
         for stripe_bytes in (1, 7, 64, 1 << 20):
-            assert np.array_equal(
-                coder.encode_into(data, stripe_bytes=stripe_bytes), reference)
-
-    def test_frame_into_reuses_and_scrubs_a_dirty_buffer(self):
-        coder = ErasureCoder(4, 2)
-        first = coder.encode_into(b"\xff" * 1000)
-        # Re-framing a shorter payload into the same buffer must zero the
-        # padding tail left over from the longer one.
-        short = b"tiny"
-        block_len = coder.block_size(len(short))
-        reused = np.full((4, block_len), 0xFF, dtype=np.uint8)
-        buffer, payload_view = coder.frame_into(len(short), out=reused)
-        assert buffer is reused
-        payload_view[:] = np.frombuffer(short, dtype=np.uint8)
-        for _ in coder.encode_stripes(buffer):
-            pass
-        fresh = coder.encode_into(short)
-        assert np.array_equal(buffer, fresh)
-        assert first is not buffer
-
-    def test_frame_into_validates_out(self):
-        coder = ErasureCoder(4, 2)
-        with pytest.raises(ValueError, match="shape"):
-            coder.frame_into(100, out=np.zeros((4, 3), dtype=np.uint8))
-        with pytest.raises(ValueError, match="uint8"):
-            coder.frame_into(
-                100, out=np.zeros((4, coder.block_size(100)), dtype=np.uint16))
+            buffer, _ = self._stripes(coder, data, stripe_bytes=stripe_bytes)
+            assert [row.tobytes() for row in buffer] == reference
 
     def test_encode_stripes_validates_buffer(self):
         coder = ErasureCoder(4, 2)
@@ -384,14 +339,14 @@ class TestStreamingEncode:
     def test_streamed_blocks_decode(self):
         coder = ErasureCoder(4, 2)
         data = b"round trip through the streaming encoder" * 55
-        buffer = coder.encode_into(data, stripe_bytes=512)
+        buffer, _ = self._stripes(coder, data, stripe_bytes=512)
         blocks = [CodedBlock(index=i, payload=buffer[i].tobytes())
                   for i in (1, 3)]
         assert coder.decode(blocks) == data
 
     def test_empty_payload_streams(self):
         coder = ErasureCoder(4, 2)
-        stripes = list(coder.stream(b""))
+        _, stripes = self._stripes(coder, b"")
         assert stripes  # header-only frame still yields a stripe
         assert coder.decode(coder.encode(b"")) == b""
 

@@ -336,20 +336,3 @@ class TestWeightedDeployment:
         with pytest.raises(ValueError, match="does not\n?.*match the deployed"):
             DepSkyClient(sim, clouds, Principal(name="alice"), quorum=system)
 
-
-class TestHealthSnapshotPersistence:
-    def test_export_restore_roundtrip_warms_the_suspect_list(self):
-        tracker = CloudHealthTracker(SuspicionPolicy(threshold=2))
-        for _ in range(2):
-            tracker.observe("amazon-s3", succeeded=False, latency=0.5, now=10.0)
-        tracker.observe("google-storage", succeeded=True, latency=0.2, now=11.0)
-        state = tracker.export_state()
-
-        restored = CloudHealthTracker(SuspicionPolicy(threshold=2))
-        restored.restore_state(state)
-        assert restored.is_suspected("amazon-s3")
-        assert not restored.is_suspected("google-storage")
-        assert restored.health("google-storage").ewma_latency == pytest.approx(0.2)
-        # Lifetime counters belong to the previous incarnation's report.
-        assert restored.suspicions == 0
-        assert restored.export_state() == state
